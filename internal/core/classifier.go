@@ -253,9 +253,10 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	}
 	phases := tb.spans
 
-	// Phase 2: full index, kernel, and grid.
+	// Phase 2: grid and estimator pool around the full-data kernel and
+	// index the bootstrap's last round built.
 	asmStart := time.Now()
-	c, err := assemble(data, cfg)
+	c, err := assemble(data, cfg, tb.kern, tb.tree)
 	if err != nil {
 		return nil, err
 	}
@@ -329,23 +330,30 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	return c, nil
 }
 
-// assemble builds the deterministic serving machinery over a dataset —
-// bandwidths, kernel, spatial index, grid cache, and estimator pool —
-// shared by training and snapshot loading. Thresholds are left for the
-// caller to fill in.
-func assemble(data *points.Store, cfg Config) (*Classifier, error) {
+// buildIndex builds the kernel (Scott bandwidths) and k-d tree over a
+// dataset — the deterministic part of a model that training and
+// snapshot loading both derive from the data.
+func buildIndex(data *points.Store, cfg Config) (kernel.Kernel, *kdtree.Tree, error) {
 	h, err := kernel.ScottBandwidths(data, cfg.BandwidthFactor)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	kern, err := newKernel(cfg.Kernel, h)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tree, err := kdtree.Build(data, kdtree.Options{LeafSize: cfg.LeafSize, Split: cfg.Split, Workers: cfg.Workers})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return kern, tree, nil
+}
+
+// assemble builds the serving machinery around a dataset's kernel and
+// index (see buildIndex) — grid cache and estimator pool — shared by
+// training and snapshot loading. Thresholds are left for the caller to
+// fill in.
+func assemble(data *points.Store, cfg Config, kern kernel.Kernel, tree *kdtree.Tree) (*Classifier, error) {
 	rec := cfg.Recorder
 	if rec == nil {
 		rec = telemetry.Nop{}
@@ -365,7 +373,7 @@ func assemble(data *points.Store, cfg Config) (*Classifier, error) {
 		return newQueryBackend(c.tree, c.kern, cfg)
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
-		g, err := grid.NewWorkers(data, h, cfg.Workers)
+		g, err := grid.NewWorkers(data, kern.Bandwidths(), cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

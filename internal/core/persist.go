@@ -238,7 +238,11 @@ func Load(r io.Reader) (*Classifier, error) {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 
-	c, err := assemble(store, cfg)
+	kern, tree, err := buildIndex(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c, err := assemble(store, cfg, kern, tree)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"tkdc/internal/kdtree"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -189,4 +193,69 @@ func TestSaveLoadParallelBitIdentical(t *testing.T) {
 			t.Fatalf("query %d: sequential %+v, parallel-loaded %+v", trial, a, b)
 		}
 	}
+}
+
+// TestLoadRebuildsTrainedIndex pins the index handoff: training serves
+// the k-d tree its last bootstrap round built over the full dataset,
+// and Load rebuilds the tree from the snapshot, so the two must be the
+// same tree — NodeMeta, box slab, and reordered points, bit for bit.
+// The case is chosen so that the bootstrap retries at r = n: the served
+// tree is the one built on the first full-data round and kept across
+// the retry.
+func TestLoadRebuildsTrainedIndex(t *testing.T) {
+	var trained *Classifier
+	for seed := int64(1); seed <= 20 && trained == nil; seed++ {
+		data := gauss2D(rand.New(rand.NewSource(seed)), 2000)
+		cfg := testConfig()
+		cfg.Seed = seed
+		cfg.HBuffer = 1 // unbuffered bounds make a retry at r = n likely
+		c, err := Train(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := 0
+		for _, sp := range c.TrainStats().Phases {
+			if strings.HasPrefix(sp.Name, "bootstrap/") && sp.Items == int64(c.N()) {
+				full++
+			}
+		}
+		if full >= 2 {
+			trained = c
+		}
+	}
+	if trained == nil {
+		t.Fatal("no seed retried the bootstrap at r = n; the case no longer exercises the handoff")
+	}
+
+	var buf bytes.Buffer
+	if err := trained.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTreeBits(t, trained.tree, loaded.tree)
+}
+
+// sameTreeBits fails unless two trees have equal NodeMeta slabs and
+// bit-identical box slabs and reordered point buffers.
+func sameTreeBits(t *testing.T, want, got *kdtree.Tree) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Meta, got.Meta) {
+		t.Fatal("NodeMeta slabs differ")
+	}
+	sameBits := func(name string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d]: %v vs %v", name, i, a[i], b[i])
+			}
+		}
+	}
+	sameBits("Boxes", want.Boxes, got.Boxes)
+	sameBits("Pts", want.Pts.Data, got.Pts.Data)
 }

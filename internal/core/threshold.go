@@ -11,6 +11,7 @@ import (
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
 	"tkdc/internal/points"
+	"tkdc/internal/sample"
 	"tkdc/internal/stats"
 	"tkdc/internal/telemetry"
 )
@@ -24,6 +25,10 @@ type thresholdBound struct {
 	// spans traces each round (including retries): duration, kernel
 	// evaluations, and the subsample size it trained on.
 	spans []telemetry.Span
+	// kern and tree index the full dataset. The first round with r = n
+	// builds them, its retries reuse them, and TrainStore serves them.
+	kern kernel.Kernel
+	tree *kdtree.Tree
 }
 
 // boundThreshold is Algorithm 3. It bootstraps bounds on the quantile
@@ -39,6 +44,10 @@ type thresholdBound struct {
 // writes disjoint density slots, so the bounds are bit-identical to a
 // single-threaded run; per-worker QueryStats are summed afterwards,
 // which is order-independent because the counters are plain sums.
+//
+// Rounds with r = n score against the full dataset itself: it is not
+// copied (kdtree.Build copies what it reorders), and its kernel and tree
+// are built once and kept in the result.
 func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
@@ -63,18 +72,15 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		roundStart := time.Now()
 		kernelsBefore := res.queries.Kernels()
 		xr := sampleRows(data, r, rng)
-
-		h, err := kernel.ScottBandwidths(xr, cfg.BandwidthFactor)
-		if err != nil {
-			return res, fmt.Errorf("core: threshold bootstrap bandwidth: %w", err)
-		}
-		kern, err := newKernel(cfg.Kernel, h)
-		if err != nil {
-			return res, err
-		}
-		tree, err := kdtree.Build(xr, kdtree.Options{LeafSize: cfg.LeafSize, Split: cfg.Split, Workers: cfg.Workers})
-		if err != nil {
-			return res, fmt.Errorf("core: threshold bootstrap index: %w", err)
+		kern, tree := res.kern, res.tree
+		if r < n || tree == nil {
+			var err error
+			if kern, tree, err = buildIndex(xr, cfg); err != nil {
+				return res, fmt.Errorf("core: threshold bootstrap: %w", err)
+			}
+			if r >= n {
+				res.kern, res.tree = kern, tree
+			}
 		}
 
 		sEff := cfg.S0
@@ -222,25 +228,20 @@ func scaleTowardZero(x, factor float64) float64 {
 	return x * factor
 }
 
-// sampleRows draws k rows without replacement into a fresh store using a
-// partial Fisher–Yates shuffle over an index array. k is clamped to the
-// store's length. The RNG consumption order matches the historical
-// slice-of-rows implementation, keeping trained models bit-identical
-// across the storage refactor.
+// sampleRows draws k rows without replacement into a fresh store: the
+// first k steps of a Fisher–Yates shuffle (sample.Slots), so the RNG
+// consumption order matches the historical dense index-array
+// implementation and trained models stay bit-identical. For k ≥ s.Len()
+// it returns s itself and draws nothing; callers only read the result.
 func sampleRows(s *points.Store, k int, rng *rand.Rand) *points.Store {
-	n := s.Len()
-	if k >= n {
-		return s.Clone()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if k >= s.Len() {
+		return s
 	}
 	out := points.New(k, s.Dim)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		copy(out.Row(i), s.Row(idx[i]))
-	}
+	i := 0
+	sample.Slots(rng, s.Len(), k, func(row int) {
+		copy(out.Row(i), s.Row(row))
+		i++
+	})
 	return out
 }

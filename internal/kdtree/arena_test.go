@@ -141,7 +141,8 @@ func compareArenaToRef(t *testing.T, tr *Tree, ref *refNode, id int32) {
 	}
 	bmin, bmax := tr.Box(id)
 	for j := 0; j < tr.Dim; j++ {
-		if bmin[j] != ref.min[j] || bmax[j] != ref.max[j] {
+		if math.Float64bits(bmin[j]) != math.Float64bits(ref.min[j]) ||
+			math.Float64bits(bmax[j]) != math.Float64bits(ref.max[j]) {
 			t.Fatalf("node %d dim %d: box [%v, %v], reference [%v, %v]",
 				id, j, bmin[j], bmax[j], ref.min[j], ref.max[j])
 		}
@@ -158,11 +159,71 @@ func compareArenaToRef(t *testing.T, tr *Tree, ref *refNode, id int32) {
 	}
 }
 
+// awkwardPoints draws a random point set salted with the inputs a split
+// can trip on: rows copied over others, signed zeros, a constant axis,
+// and a long run of one repeated row.
+func awkwardPoints(rng *rand.Rand, n, d int) *points.Store {
+	pts := randomPoints(rng, n, d)
+	for k := 0; k < n/10; k++ {
+		pts.Swap(rng.Intn(n), rng.Intn(n))
+		copy(pts.Row(rng.Intn(n)), pts.Row(rng.Intn(n)))
+	}
+	if rng.Intn(2) == 0 {
+		negZero := math.Copysign(0, -1)
+		for k := 0; k < n/4; k++ {
+			v := 0.0
+			if rng.Intn(2) == 0 {
+				v = negZero
+			}
+			pts.Data[rng.Intn(len(pts.Data))] = v
+		}
+	}
+	if d > 1 && rng.Intn(2) == 0 {
+		axis, c := rng.Intn(d), rng.NormFloat64()
+		for i := 0; i < n; i++ {
+			pts.Data[i*d+axis] = c
+		}
+	}
+	if n > 4 && rng.Intn(2) == 0 {
+		run := n / (2 + rng.Intn(4))
+		start := rng.Intn(n - run + 1)
+		row := append([]float64(nil), pts.Row(rng.Intn(n))...)
+		for i := start; i < start+run; i++ {
+			copy(pts.Row(i), row)
+		}
+	}
+	return pts
+}
+
+// arenaMatchesRef builds pts both ways and reports whether the reordered
+// buffers are bit-identical, failing the test on any node mismatch.
+func arenaMatchesRef(t *testing.T, pts *points.Store, opts Options) bool {
+	t.Helper()
+	tr, err := Build(pts, opts)
+	if err != nil {
+		t.Logf("Build: %v", err)
+		return false
+	}
+	refT, refRoot := refBuild(pts, opts)
+	for i, v := range tr.Pts.Data {
+		if math.Float64bits(v) != math.Float64bits(refT.pts.Data[i]) {
+			t.Logf("reordered buffers differ at %d: %v vs reference %v", i, v, refT.pts.Data[i])
+			return false
+		}
+	}
+	compareArenaToRef(t, tr, refRoot, 0)
+	return true
+}
+
 // TestArenaMatchesReferenceProperty is the layout-equivalence property:
 // for random point sets, every split rule, and varied leaf sizes, the
-// BFS arena and an independently built pointer tree agree on node
-// ranges, bounding boxes, structure, and the reordered point buffer
-// (leaf order) — all comparisons exact, no tolerance.
+// BFS arena with its selection-based splits and an independently built
+// pointer tree with sort-based splits agree on node ranges, bounding
+// boxes, structure, and the reordered point buffer (leaf order) — all
+// compared bit for bit, so a signed zero landing differently fails.
+// The inputs carry signed zeros, constant axes and long duplicate runs,
+// and a few n≈5000 draws run the selection for many rounds past its
+// insertion-sort cutoff.
 func TestArenaMatchesReferenceProperty(t *testing.T) {
 	for _, rule := range []SplitRule{SplitEquiWidth, SplitMedian} {
 		rule := rule
@@ -170,29 +231,93 @@ func TestArenaMatchesReferenceProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			n := 1 + rng.Intn(600)
 			d := 1 + rng.Intn(5)
-			pts := randomPoints(rng, n, d)
-			// Sprinkle duplicates to exercise the degenerate-split path.
-			for k := 0; k < n/10; k++ {
-				pts.Swap(rng.Intn(n), rng.Intn(n))
-				copy(pts.Row(rng.Intn(n)), pts.Row(rng.Intn(n)))
-			}
+			pts := awkwardPoints(rng, n, d)
 			opts := Options{LeafSize: 1 + rng.Intn(16), Split: rule}
-			tr, err := Build(pts, opts)
-			if err != nil {
+			if !arenaMatchesRef(t, pts, opts) {
+				t.Logf("seed %d", seed)
 				return false
 			}
-			refT, refRoot := refBuild(pts, opts)
-			for i, v := range tr.Pts.Data {
-				if v != refT.pts.Data[i] {
-					t.Logf("seed %d: reordered buffers differ at %d", seed, i)
-					return false
-				}
-			}
-			compareArenaToRef(t, tr, refRoot, 0)
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("rule %v: %v", rule, err)
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 4500 + rng.Intn(1000)
+			d := 1 + rng.Intn(3)
+			opts := Options{LeafSize: 1 + rng.Intn(32), Split: rule}
+			if !arenaMatchesRef(t, awkwardPoints(rng, n, d), opts) {
+				t.Fatalf("rule %v: large draw seed %d (n=%d d=%d) differs from the reference", rule, seed, n, d)
+			}
+		}
+	}
+}
+
+// TestSelectKthMatchesSort checks the selection against a sorted copy
+// at every rank, on random, duplicate-heavy, sorted and reversed input,
+// with the median-of-three rounds both used and skipped (budget 0 runs
+// every round on median-of-medians pivots).
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inputs := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			return v
+		},
+		"few-values": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(rng.Intn(3))
+			}
+			return v
+		},
+		"ascending": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i)
+			}
+			return v
+		},
+		"descending": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(n - i)
+			}
+			return v
+		},
+	}
+	for name, mk := range inputs {
+		for _, n := range []int{1, 2, 16, 17, 100, 1000} {
+			in := mk(n)
+			want := append([]float64(nil), in...)
+			sort.Float64s(want)
+			for _, budget := range []int{-1, 0} {
+				for k := 0; k < n; k++ {
+					v := append([]float64(nil), in...)
+					if budget < 0 {
+						selectKth(v, k)
+					} else {
+						quickselect(v, k, budget)
+					}
+					if v[k] != want[k] {
+						t.Fatalf("%s n=%d budget=%d: rank %d = %v, sorted %v", name, n, budget, k, v[k], want[k])
+					}
+					for i := 0; i < k; i++ {
+						if v[i] > v[k] {
+							t.Fatalf("%s n=%d budget=%d rank %d: v[%d]=%v above the selected %v", name, n, budget, k, i, v[i], v[k])
+						}
+					}
+					for i := k + 1; i < n; i++ {
+						if v[i] < v[k] {
+							t.Fatalf("%s n=%d budget=%d rank %d: v[%d]=%v below the selected %v", name, n, budget, k, i, v[i], v[k])
+						}
+					}
+				}
+			}
 		}
 	}
 }

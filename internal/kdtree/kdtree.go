@@ -32,6 +32,15 @@
 // arena slabs and the reordered point buffer are bit-identical at any
 // worker count.
 //
+// A split needs one or two order statistics of the node's coordinates
+// along the split axis, never a full ordering: splitValue copies them
+// into the node's row range of one build-wide scratch buffer and finds
+// the ranks by in-place selection (selectKth), so each level costs O(n)
+// and the whole build O(n log n). Any correct selection returns values that compare equal
+// to the sorted ones, and the partition only compares against the
+// split value, so node ranges, boxes and the reordered buffer are
+// exactly those a sort-based split produces.
+//
 // Two split rules are provided. The paper's default for tKDC is the
 // "equi-width" trimmed midpoint — split at (x⁽¹⁰⁾ + x⁽⁹⁰⁾)/2, the midpoint
 // of the 10th and 90th percentiles along the cycling axis — which
@@ -44,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -128,6 +138,10 @@ type Tree struct {
 	// are assigned breadth-first, a node's depth is the level whose id
 	// range contains it (see Depth).
 	levels []int32
+	// scratch holds one float per row during Build (nil afterwards): a
+	// node's split selects in scratch[Lo:Hi], which no other node of its
+	// level touches.
+	scratch []float64
 
 	stats Stats
 
@@ -351,6 +365,7 @@ func Build(pts *points.Store, opts Options) (*Tree, error) {
 	// the only id-assigning step — happens afterwards in id order, which
 	// reproduces the sequential arena exactly.
 	workers := buildWorkers(opts.Workers)
+	t.scratch = make([]float64, t.Size)
 	var mids []int32
 	for lvlStart, depth := 0, 0; lvlStart < len(t.Meta); depth++ {
 		lvlEnd := len(t.Meta)
@@ -383,6 +398,7 @@ func Build(pts *points.Store, opts Options) (*Tree, error) {
 	}
 	t.stats.Nodes = len(t.Meta)
 	t.stats.Leaves = (len(t.Meta) + 1) / 2
+	t.scratch = nil
 
 	return t, nil
 }
@@ -403,10 +419,10 @@ func buildWorkers(w int) int {
 // expandLevel expands every node of one BFS level: mids[i] receives the
 // partition boundary of node lvlStart+i, or -1 when it stays a leaf.
 // Each expansion reads and writes only its node's row range, box slot,
-// and mids slot, so the level fans out across workers with a shared
-// atomic cursor (node costs are skewed — an equi-width level can pair a
-// huge node with near-empty siblings — so static chunking would idle
-// workers).
+// and mids slot (and its rows of the split scratch), so the level fans
+// out across workers with a shared atomic cursor (node costs are skewed
+// — an equi-width level can pair a huge node with near-empty siblings —
+// so static chunking would idle workers).
 func (t *Tree) expandLevel(lvlStart, lvlEnd, depth, workers int, mids []int32) {
 	n := lvlEnd - lvlStart
 	if workers > n {
@@ -514,29 +530,143 @@ func (s *rowSorter) Less(i, j int) bool { return s.pts.At(s.lo+i, s.dim) < s.pts
 func (s *rowSorter) Swap(i, j int)      { s.pts.Swap(s.lo+i, s.lo+j) }
 
 // splitValue returns the coordinate to split at along dim for rows
-// [lo, hi).
+// [lo, hi): the median, or the trimmed midpoint (x⁽¹⁰⁾+x⁽⁹⁰⁾)/2 with the
+// percentiles taken at ranks ⌊0.1·(n−1)⌋ and ⌊0.9·(n−1)⌋. The
+// coordinates are copied into the rows' span of the build scratch and
+// the ranks found by selection — the 90th over all of them, then the
+// 10th over the prefix the first selection left below it — which is
+// O(n) where a sort was O(n log n). Selection returns values equal
+// under == to the sorted order statistics, and the caller only compares
+// against the result, so the split partitions rows exactly as the
+// sort-based one did.
 func (t *Tree) splitValue(lo, hi, dim int) float64 {
-	vals := make([]float64, hi-lo)
+	n := hi - lo
+	vals := t.scratch[lo:hi]
+	d := t.Dim
+	col := t.Pts.Data[lo*d+dim:]
 	for i := range vals {
-		vals[i] = t.Pts.At(lo+i, dim)
+		vals[i] = col[i*d]
 	}
-	sort.Float64s(vals)
 	switch t.Opts.Split {
 	case SplitMedian:
-		return vals[len(vals)/2]
+		k := n / 2
+		selectKth(vals, k)
+		return vals[k]
 	default: // SplitEquiWidth
-		p10 := vals[int(0.10*float64(len(vals)-1))]
-		p90 := vals[int(0.90*float64(len(vals)-1))]
-		return 0.5 * (p10 + p90)
+		k10 := int(0.10 * float64(n-1))
+		k90 := int(0.90 * float64(n-1))
+		selectKth(vals, k90)
+		if k10 < k90 {
+			selectKth(vals[:k90], k10)
+		}
+		return 0.5 * (vals[k10] + vals[k90])
+	}
+}
+
+// selectCutoff is the range length at or below which selection finishes
+// with an insertion sort.
+const selectCutoff = 16
+
+// selectKth reorders v in place so that v[k] holds the value of rank k
+// (0-based) in sorted order, with v[:k] ≤ v[k] ≤ v[k+1:]. It is Hoare's
+// FIND: quickselect with median-of-three pivots and a partition whose
+// scans stop on values equal to the pivot, so duplicate-heavy input
+// still halves the range each round; after 2·log₂(n) rounds it switches
+// to median-of-medians pivots, which bound the worst case. Pivot choice
+// is a fixed function of v, so the result is deterministic.
+func selectKth(v []float64, k int) {
+	quickselect(v, k, 2*bits.Len(uint(len(v))))
+}
+
+// quickselect is selectKth with an explicit budget of median-of-three
+// rounds before the median-of-medians fallback.
+func quickselect(v []float64, k, budget int) {
+	lo, hi := 0, len(v)-1 // inclusive bounds of the range holding rank k
+	for hi-lo >= selectCutoff {
+		var p float64
+		if budget > 0 {
+			budget--
+			p = median3(v[lo], v[lo+(hi-lo)/2], v[hi])
+		} else {
+			p = medianOfMedians(v[lo : hi+1])
+		}
+		// p is a value of v[lo..hi], so both scans stop inside the range;
+		// after the first swap the swapped values guard them.
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < p {
+				i++
+			}
+			for v[j] > p {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// Now v[lo..j] ≤ p ≤ v[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	insertionSort(v[lo : hi+1])
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// medianOfMedians returns a pivot of v with at least ~30% of v on
+// either side: the median of the medians of groups of five. It reorders
+// v (the medians are gathered at the front). len(v) > selectCutoff, so
+// there is at least one group.
+func medianOfMedians(v []float64) float64 {
+	m := 0
+	for g := 0; g+5 <= len(v); g += 5 {
+		insertionSort(v[g : g+5])
+		v[m], v[g+2] = v[g+2], v[m]
+		m++
+	}
+	selectKth(v[:m], m/2)
+	return v[m/2]
+}
+
+// insertionSort sorts a short slice in place.
+func insertionSort(v []float64) {
+	for i := 1; i < len(v); i++ {
+		x := v[i]
+		j := i
+		for ; j > 0 && v[j-1] > x; j-- {
+			v[j] = v[j-1]
+		}
+		v[j] = x
 	}
 }
 
 // partition reorders rows [lo, hi) into (< split) then (≥ split) along
 // dim and returns the boundary row.
 func (t *Tree) partition(lo, hi, dim int, split float64) int {
+	d, data := t.Dim, t.Pts.Data
 	i, j := lo, hi-1
 	for i <= j {
-		if t.Pts.At(i, dim) < split {
+		if data[i*d+dim] < split {
 			i++
 		} else {
 			t.Pts.Swap(i, j)

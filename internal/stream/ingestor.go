@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"tkdc/internal/points"
+	"tkdc/internal/sample"
 )
 
 // Ingestor maintains a bounded-memory sample of an unbounded point
@@ -270,8 +271,8 @@ func (i *Ingestor) copyNewestLocked(dst []float64, m int) {
 // draw is reproducible and does not perturb reservoir eviction. It is
 // the cheap input to the drift probe. Returns nil while empty.
 //
-// The draw is a sparse Fisher–Yates: only the k displaced slots are
-// tracked (in a map), so a k-row probe over an n-row sample allocates
+// The draw is a sparse Fisher–Yates (sample.Slots): only the displaced
+// slots are tracked, so a k-row probe over an n-row sample allocates
 // O(k) instead of the O(n) index permutation it used to materialize —
 // see BenchmarkSample. The emitted rows are identical to the dense
 // shuffle's for any given seed.
@@ -290,48 +291,11 @@ func (i *Ingestor) Sample(k int, seed int64) *points.Store {
 	rng := rand.New(rand.NewSource(seed))
 	out := points.New(k, dim)
 	j := 0
-	sampleSlots(rng, i.n, k, func(slot int) {
+	sample.Slots(rng, i.n, k, func(slot int) {
 		copy(out.Row(j), i.buf.Row(slot))
 		j++
 	})
 	return out
-}
-
-// sampleSlots visits k distinct uniformly drawn slots of [0, n), k ≤ n,
-// in draw order. It runs the first k steps of a Fisher–Yates shuffle,
-// tracking only displaced slots: a dense map of the whole index space
-// is never built, so the allocation cost is O(k) however large n is.
-// For draws dense enough that the map would cost more than the
-// permutation it avoids, it falls back to the classic array shuffle.
-// Both paths consume rng identically (one Intn per draw) and emit the
-// same slots for the same seed.
-func sampleSlots(rng *rand.Rand, n, k int, visit func(slot int)) {
-	if k*4 >= n {
-		idx := make([]int, n)
-		for j := range idx {
-			idx[j] = j
-		}
-		for j := 0; j < k; j++ {
-			l := j + rng.Intn(n-j)
-			idx[j], idx[l] = idx[l], idx[j]
-			visit(idx[j])
-		}
-		return
-	}
-	displaced := make(map[int]int, 2*k)
-	slotAt := func(pos int) int {
-		if v, ok := displaced[pos]; ok {
-			return v
-		}
-		return pos
-	}
-	for j := 0; j < k; j++ {
-		l := j + rng.Intn(n-j)
-		sj, sl := slotAt(j), slotAt(l)
-		displaced[l] = sj
-		delete(displaced, j) // position j is never probed again
-		visit(sl)
-	}
 }
 
 // Seen returns the total number of rows ever ingested.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"tkdc/internal/points"
+	"tkdc/internal/sample"
 )
 
 // maxShards bounds the shard count: past this, per-shard sample memory
@@ -265,7 +266,7 @@ func (s *ShardedIngestor) mergeReservoirLocked(dim int, seen int64) *points.Stor
 			copy(out.Data[row*dim:], sh.buf.Data[:sh.n*dim])
 			row += k
 		default:
-			sampleSlots(rng, sh.n, k, func(slot int) {
+			sample.Slots(rng, sh.n, k, func(slot int) {
 				copy(out.Data[row*dim:(row+1)*dim], sh.buf.Row(slot))
 				row++
 			})
@@ -390,7 +391,7 @@ func (s *ShardedIngestor) Sample(k int, seed int64) *points.Store {
 			copy(out.Data[row*dim:], sh.buf.Data[:sh.n*dim])
 			row += c
 		default:
-			sampleSlots(rng, sh.n, c, func(slot int) {
+			sample.Slots(rng, sh.n, c, func(slot int) {
 				copy(out.Data[row*dim:(row+1)*dim], sh.buf.Row(slot))
 				row++
 			})
