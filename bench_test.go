@@ -460,11 +460,14 @@ func BenchmarkTraining(b *testing.B) {
 	}
 }
 
-// BenchmarkTrain is the parallel-training baseline pinned in
-// BENCH_train.json: end-to-end Train on 50k points at each worker
-// count. Models are bit-identical across counts, so this isolates the
-// wall-clock effect of the level-parallel tree build, concurrent
-// bootstrap scoring, and parallel grid fill.
+// BenchmarkTrain is the training baseline pinned in BENCH_train.json:
+// end-to-end Train on 50k gauss d=2 points at each worker count, and on
+// 10k hep d=27 points at workers=4. Models are bit-identical across
+// counts, so the workers=N cases isolate the wall-clock effect of the
+// level-parallel tree build, concurrent bootstrap scoring, and parallel
+// grid fill. The hep case runs the sampling backend with n ≤ S0, where
+// the bootstrap's full-data rounds and the refine pass score the same
+// rows (trajectory replay); it reports the training kernel count too.
 func BenchmarkTrain(b *testing.B) {
 	data := benchData(b, "gauss", 50000, 2)
 	for _, workers := range []int{1, 4} {
@@ -481,6 +484,20 @@ func BenchmarkTrain(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hep-d27-n10k", func(b *testing.B) {
+		hep := benchData(b, "hep", 10000, 27)
+		cfg := core.DefaultConfig()
+		cfg.Seed = 42
+		cfg.Workers = 4
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c, err := core.Train(hep, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(c.TrainStats().TrainKernels), "kernels/op")
+		}
+	})
 }
 
 // BenchmarkParallelClassify measures the Workers extension: batch

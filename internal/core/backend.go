@@ -166,6 +166,32 @@ func (b *samplingBackend) EstimateDensity(x []float64, rel float64, stats *Query
 	return fl, fu, est
 }
 
+// memoBackend is implemented by backends that can keep a query's
+// BoundDensity trajectory across training passes over one fixed row set
+// (estimator.Memo) and replay it under the next pass's bounds. Only the
+// sampling backend does: a tree query's trajectory is its whole
+// refinement heap, hundreds of steps, which would cost more to keep than
+// to recompute.
+type memoBackend interface {
+	newMemo(rows int) *estimator.Memo
+	boundDensityRow(m *estimator.Memo, row int, x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64)
+}
+
+func (b *samplingBackend) newMemo(rows int) *estimator.Memo { return b.s.NewMemo(rows) }
+
+// boundDensityRow is BoundDensity for row of m's row set: a replay of
+// the row's recorded trajectory when it decides the new bounds, at no
+// work, else a fresh query that records over it.
+func (b *samplingBackend) boundDensityRow(m *estimator.Memo, row int, x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64) {
+	if fl, fu, est, ok := b.s.Replay(m, row, tl, tu, tolCut); ok {
+		return fl, fu, est
+	}
+	w := estimator.Work{Trace: stats.Trace}
+	fl, fu, est = b.s.Record(x, tl, tu, tolCut, m, row, &w)
+	addWork(stats, w)
+	return fl, fu, est
+}
+
 // Name returns BackendSampling.
 func (b *samplingBackend) Name() string { return BackendSampling }
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tkdc/internal/estimator"
 	"tkdc/internal/grid"
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
@@ -276,7 +277,7 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	const maxAttempts = 4
 	for attempt := 0; ; attempt++ {
 		passStart := time.Now()
-		densities, passStats := c.trainingDensities(tl, tu)
+		densities, passStats := c.trainingDensities(tl, tu, tb.memo)
 		trainKernels += passStats.Kernels()
 		sort.Float64s(densities)
 		phases = append(phases, telemetry.Span{
@@ -404,7 +405,10 @@ func (c *Classifier) effectiveWorkers() int {
 
 // trainingDensities scores every training point against threshold bounds
 // (tl, tu), returning self-contribution-corrected density estimates.
-func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
+// memo, when non-nil, holds the rows' trajectories from the bootstrap's
+// full-data rounds (see boundThreshold); this pass replays and extends
+// it.
+func (c *Classifier) trainingDensities(tl, tu float64, memo *estimator.Memo) ([]float64, QueryStats) {
 	n := c.data.Len()
 	densities := make([]float64, n)
 	workers := c.effectiveWorkers()
@@ -413,7 +417,7 @@ func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
 		defer c.putEstimator(est)
 		var qs QueryStats
 		for i := 0; i < n; i++ {
-			densities[i] = c.trainingDensityOne(est, c.data.Row(i), tl, tu, &qs)
+			densities[i] = c.trainingDensityOne(est, memo, i, tl, tu, &qs)
 		}
 		return densities, qs
 	}
@@ -438,7 +442,7 @@ func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
 			defer c.putEstimator(est)
 			var qs QueryStats
 			for i := lo; i < hi; i++ {
-				densities[i] = c.trainingDensityOne(est, c.data.Row(i), tl, tu, &qs)
+				densities[i] = c.trainingDensityOne(est, memo, i, tl, tu, &qs)
 			}
 			mu.Lock()
 			total.add(qs)
@@ -449,23 +453,20 @@ func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
 	return densities, total
 }
 
-// trainingDensityOne scores one training point for the threshold pass.
+// trainingDensityOne scores training point i for the threshold pass.
 // Grid-pruned points record their (certified) lower bound, which keeps
 // their rank above any threshold inside the bootstrap bounds. The grid
 // bound is corrected for the point's self-contribution before comparing,
 // because the bootstrap bounds live in corrected-density space.
-func (c *Classifier) trainingDensityOne(est DensityBackend, x []float64, tl, tu float64, qs *QueryStats) float64 {
+func (c *Classifier) trainingDensityOne(est DensityBackend, memo *estimator.Memo, i int, tl, tu float64, qs *QueryStats) float64 {
+	x := c.data.Row(i)
 	if c.grid != nil && !math.IsInf(tu, 1) {
 		if lb := c.grid.LowerBoundDensity(x, c.gridKDiag) - c.selfContrib; lb > tu {
 			qs.GridHit = true
 			return lb
 		}
 	}
-	// tl and tu bound the corrected quantile; pruning operates on plain
-	// densities, so shift by the self-contribution.
-	tolCut := c.cfg.Epsilon * math.Max(tl, 0)
-	_, _, f := est.BoundDensity(x, tl+c.selfContrib, tu+c.selfContrib, tolCut, qs)
-	return f - c.selfContrib
+	return scoreRow(est, memo, i, x, tl, tu, c.selfContrib, c.cfg.Epsilon, qs)
 }
 
 // Classify labels one query point against the trained threshold.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"tkdc/internal/estimator"
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
 	"tkdc/internal/points"
@@ -29,6 +30,10 @@ type thresholdBound struct {
 	// builds them, its retries reuse them, and TrainStore serves them.
 	kern kernel.Kernel
 	tree *kdtree.Tree
+	// memo keeps the sampling backend's per-row trajectories when the
+	// r = n rounds score the dataset itself (n ≤ S0): their retries
+	// replay it, and TrainStore's refine passes after them.
+	memo *estimator.Memo
 }
 
 // boundThreshold is Algorithm 3. It bootstraps bounds on the quantile
@@ -47,7 +52,9 @@ type thresholdBound struct {
 //
 // Rounds with r = n score against the full dataset itself: it is not
 // copied (kdtree.Build copies what it reorders), and its kernel and tree
-// are built once and kept in the result.
+// are built once and kept in the result. When n ≤ S0 they also score
+// every row of it, row i at slot i, so a memoising backend records each
+// row's trajectory on the first such round and later passes replay it.
 func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
@@ -89,13 +96,11 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		}
 		xs := sampleRows(xr, sEff, rng)
 
-		// The bounds live in corrected-density space (Equation 1) while
-		// boundDensity prunes on plain densities: shift by the
-		// self-contribution so the pruning thresholds and the validity
-		// checks below refer to exactly the same quantity. The tolerance
-		// target stays ε·t in corrected space.
+		// The bounds live in corrected-density space (Equation 1):
+		// scoreRow shifts them by the self-contribution so the pruning
+		// thresholds and the validity checks below refer to exactly the
+		// same quantity.
 		selfContrib := kern.AtZero() / float64(r)
-		tolCut := cfg.Epsilon * math.Max(res.lo, 0)
 		if cap(densities) < sEff {
 			densities = make([]float64, sEff)
 		}
@@ -103,10 +108,14 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		newEst := func() DensityBackend {
 			return newQueryBackend(tree, kern, cfg)
 		}
+		if sEff == n && res.memo == nil {
+			if mb, ok := newEst().(memoBackend); ok {
+				res.memo = mb.newMemo(n)
+			}
+		}
 		scoreRange := func(est DensityBackend, lo, hi int, qs *QueryStats) {
 			for i := lo; i < hi; i++ {
-				_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)
-				densities[i] = f - selfContrib
+				densities[i] = scoreRow(est, res.memo, i, xs.Row(i), res.lo, res.hi, selfContrib, cfg.Epsilon, qs)
 			}
 		}
 		if workers < 2 || sEff < 2*workers {
@@ -208,6 +217,25 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 			retries = 0
 		}
 	}
+}
+
+// scoreRow bounds the density of training-pass row i, at x, and returns
+// it corrected for the row's self-contribution. The pass's bounds
+// [tl, tu] live in corrected-density space (Equation 1) while the
+// backend prunes on plain densities, so they are shifted by the
+// self-contribution; the tolerance target stays ε·t in corrected space.
+// With a memo the row's trajectory from an earlier pass is replayed
+// when it decides the new bounds.
+func scoreRow(est DensityBackend, memo *estimator.Memo, i int, x []float64, tl, tu, selfContrib, epsilon float64, qs *QueryStats) float64 {
+	tolCut := epsilon * math.Max(tl, 0)
+	if memo != nil {
+		if mb, ok := est.(memoBackend); ok {
+			_, _, f := mb.boundDensityRow(memo, i, x, tl+selfContrib, tu+selfContrib, tolCut, qs)
+			return f - selfContrib
+		}
+	}
+	_, _, f := est.BoundDensity(x, tl+selfContrib, tu+selfContrib, tolCut, qs)
+	return f - selfContrib
 }
 
 // scaleTowardInf multiplicatively loosens an upper bound (larger for

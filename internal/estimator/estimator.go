@@ -199,6 +199,7 @@ type Sampler struct {
 	seed                   int64
 	nearNodes              int
 	minSamples, maxSamples int
+	rounds                 int // far rounds from minSamples up to maxSamples
 	disableThreshold       bool
 	disableTolerance       bool
 
@@ -228,6 +229,10 @@ func New(tree *kdtree.Tree, kern kernel.Kernel, opts Options) *Sampler {
 	if opts.MaxSamples < opts.MinSamples {
 		opts.MaxSamples = opts.MinSamples
 	}
+	rounds := 1
+	for t := opts.MinSamples; t < opts.MaxSamples; rounds++ {
+		t *= 2
+	}
 	src := rand.NewSource(0).(rand.Source64)
 	return &Sampler{
 		tree:             tree,
@@ -240,6 +245,7 @@ func New(tree *kdtree.Tree, kern kernel.Kernel, opts Options) *Sampler {
 		nearNodes:        opts.NearNodes,
 		minSamples:       opts.MinSamples,
 		maxSamples:       opts.MaxSamples,
+		rounds:           rounds,
 		disableThreshold: opts.DisableThreshold,
 		disableTolerance: opts.DisableTolerance,
 		src:              src,
@@ -535,20 +541,50 @@ func (s *Sampler) exact(x []float64, w *Work) float64 {
 // fl ≤ f(x) ≤ fu with probability ≥ 1−δ (with certainty, when the near
 // phase resolved the whole dataset); est is the unbiased split estimate.
 func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl, fu, est float64) {
+	return s.boundDensity(x, tl, tu, tolCut, w, nil)
+}
+
+// Record is BoundDensity that also stores the states it computes as
+// row's trajectory in m, replacing any earlier one, for Replay.
+func (s *Sampler) Record(x []float64, tl, tu, tolCut float64, m *Memo, row int, w *Work) (fl, fu, est float64) {
+	m.meta[row] = 0
+	return s.boundDensity(x, tl, tu, tolCut, w, &trajectory{
+		states: m.states[row*m.rounds : row*m.rounds : (row+1)*m.rounds],
+		meta:   &m.meta[row],
+	})
+}
+
+// stops is the stop rule BoundDensity applies after each far round and
+// Replay applies to each recorded one: the threshold rule, then the
+// tolerance rule (only for a positive tolCut), then the sample budget.
+func (s *Sampler) stops(fl, fu, tl, tu, tolCut float64, atBudget bool) bool {
+	if !s.disableThreshold && (fl > tu || fu < tl) {
+		return true
+	}
+	if !s.disableTolerance && tolCut > 0 && fu-fl < tolCut {
+		return true
+	}
+	return atBudget
+}
+
+func (s *Sampler) boundDensity(x []float64, tl, tu, tolCut float64, w *Work, rec *trajectory) (fl, fu, est float64) {
 	s.src.Seed(querySeed(s.seed, x))
 	if s.tree.Size <= 2*s.minSamples {
 		v := s.exact(x, w)
+		rec.final(v)
 		return v, v, v
 	}
 	sumNear := s.nearPhase(x, w)
 	if s.far.count == 0 {
 		v := sumNear / s.n
+		rec.final(v)
 		return v, v, v
 	}
 	if s.far.count <= s.minSamples {
 		// Sampling with replacement from a population this small costs
 		// more than exhausting it.
 		v := (sumNear + s.exactFar(x, w)) / s.n
+		rec.final(v)
 		return v, v, v
 	}
 	var st farState
@@ -561,6 +597,7 @@ func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl
 		s.sampleTo(&st, x, target, w)
 		fl, fu, est = s.bounds(sumNear, &st)
 		w.FarRounds++
+		rec.add(fl, fu, est)
 		if w.Trace != nil {
 			w.Trace.AddStage(telemetry.TraceStage{
 				Name:     fmt.Sprintf("far/round-%d", w.FarRounds),
@@ -571,13 +608,7 @@ func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl
 				Band:     fu - fl,
 			})
 		}
-		if !s.disableThreshold && (fl > tu || fu < tl) {
-			break
-		}
-		if !s.disableTolerance && tolCut > 0 && fu-fl < tolCut {
-			break
-		}
-		if target >= s.maxSamples {
+		if s.stops(fl, fu, tl, tu, tolCut, target >= s.maxSamples) {
 			break
 		}
 		target *= 2
@@ -587,6 +618,82 @@ func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl
 	}
 	w.FarSamples += int64(st.m)
 	return fl, fu, est
+}
+
+// Memo holds BoundDensity trajectories for a fixed set of queries, one
+// row each, in one flat slab. A query's trajectory is a function of the
+// sampler's seed, index and kernel and of the query alone: the near
+// phase never looks at the stopping arguments, and the far rounds draw
+// from a per-query seeded stream, so the states after 256, 512, … far
+// samples are the same whatever (tl, tu, tolCut) a pass uses. Those
+// arguments only choose the state where the query stops — which Replay
+// can choose again from the record, for any later pass over the same
+// queries. Rows may be recorded and replayed from concurrent goroutines
+// as long as each row belongs to one of them.
+type Memo struct {
+	rounds int     // states per row: the sampler's far-round count
+	states []state // rows × rounds, row-major
+	meta   []uint8 // per row: states recorded, | memoFinal
+}
+
+// state is one step of a query's trajectory: its bounds and estimate
+// after a far round, or its exact density.
+type state struct{ fl, fu, est float64 }
+
+// memoFinal marks a trajectory that ended on an exact path: its single
+// state answers every stopping rule.
+const memoFinal = 0x80
+
+// NewMemo returns an empty memo for rows queries against s (or any
+// sampler built with the same options over the same index).
+func (s *Sampler) NewMemo(rows int) *Memo {
+	return &Memo{
+		rounds: s.rounds,
+		states: make([]state, rows*s.rounds),
+		meta:   make([]uint8, rows),
+	}
+}
+
+// Replay answers BoundDensity for row's query under new stopping
+// arguments from the row's recorded trajectory, adding no work: it
+// returns the first recorded state the stop rule accepts, or the exact
+// state of a final trajectory. ok is false when the record ends before
+// any state stops (or was never made); the caller must then Record the
+// query afresh. Whenever ok is true the result equals a fresh
+// BoundDensity bit for bit.
+func (s *Sampler) Replay(m *Memo, row int, tl, tu, tolCut float64) (fl, fu, est float64, ok bool) {
+	meta := m.meta[row]
+	states := m.states[row*m.rounds:][:meta&^memoFinal]
+	if meta&memoFinal != 0 {
+		return states[0].fl, states[0].fu, states[0].est, true
+	}
+	for i, st := range states {
+		if s.stops(st.fl, st.fu, tl, tu, tolCut, i == m.rounds-1) {
+			return st.fl, st.fu, st.est, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// trajectory is Record's write cursor into one Memo row. Its methods
+// accept a nil receiver, which BoundDensity passes to record nothing.
+type trajectory struct {
+	states []state
+	meta   *uint8
+}
+
+func (t *trajectory) add(fl, fu, est float64) {
+	if t != nil {
+		t.states = append(t.states, state{fl, fu, est})
+		*t.meta = uint8(len(t.states))
+	}
+}
+
+func (t *trajectory) final(v float64) {
+	if t != nil {
+		t.add(v, v, v)
+		*t.meta |= memoFinal
+	}
 }
 
 // EstimateDensity estimates the density to relative precision rel

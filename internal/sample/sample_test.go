@@ -51,3 +51,27 @@ func TestSlotsMatchesDenseShuffle(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkSlots draws k of n = 100k slots at densities from the sparse
+// regime to just below the k = n/4 switch to the dense shuffle, the
+// range where the displaced-slot table competes with the permutation.
+func BenchmarkSlots(b *testing.B) {
+	const n = 100_000
+	for _, frac := range []struct {
+		name string
+		div  float64
+	}{{"k=n/1000", 1000}, {"k=n/60", 60}, {"k=n/8", 8}, {"k=n/4.1", 4.1}} {
+		k := int(n / frac.div)
+		b.Run(frac.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			sum := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Slots(rng, n, k, func(slot int) { sum += slot })
+			}
+			if sum < 0 {
+				b.Fatal(sum)
+			}
+		})
+	}
+}

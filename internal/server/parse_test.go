@@ -2,10 +2,54 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// parseEquivalenceCases mixes clean inputs (fast path) with every
+// tricky shape that must fall back; it also seeds FuzzParseRowsFlat.
+var parseEquivalenceCases = []struct {
+	name, contentType, body string
+}{
+	{"csv simple", "text/csv", "1,2\n3,4\n"},
+	{"csv no trailing newline", "text/csv", "1,2\n3,4"},
+	{"csv negatives and exponents", "text/csv", "-1.5,2e3\n+0.25,-4E-2\n"},
+	{"csv blank lines", "text/csv", "\n1,2\n\n3,4\n\n"},
+	{"csv spaces around fields", "text/csv", " 1 , 2 \n 3 , 4 \n"},
+	{"csv crlf", "text/csv", "1,2\r\n3,4\r\n"},
+	{"csv header", "text/csv", "x,y\n1,2\n3,4\n"},
+	{"csv header then bad row", "text/csv", "x,y\n1,2\nfoo,4\n"},
+	{"csv trailing comma", "text/csv", "1,2,\n3,4,\n"},
+	{"csv ragged", "text/csv", "1,2\n3,4,5\n"},
+	{"csv inf", "text/csv", "Inf,2\n3,4\n"},
+	{"csv nan", "text/csv", "NaN,2\n"},
+	{"csv hex float", "text/csv", "0x1p3,2\n"},
+	{"csv unicode space", "text/csv", " 1,2\n"},
+	{"csv single column", "text/csv", "1\n2\n3\n"},
+	{"csv empty", "text/csv", ""},
+	{"csv only blank lines", "text/csv", "\n\n"},
+	{"csv garbage", "text/csv", "hello world\nnot,numbers\n"},
+	{"json bare array", "application/json", `[[1,2],[3,4]]`},
+	{"json points object", "application/json", `{"points":[[1,2],[3,4]]}`},
+	{"json whitespace", "application/json", " {\n\t\"points\": [ [1, 2] , [3, 4] ] }\n"},
+	{"json exponents", "application/json", `[[1e-3,2.5E2],[-0.125,3]]`},
+	{"json empty outer", "application/json", `[]`},
+	{"json empty points", "application/json", `{"points":[]}`},
+	{"json empty row", "application/json", `[[]]`},
+	{"json ragged", "application/json", `[[1,2],[3]]`},
+	{"json extra key", "application/json", `{"points":[[1,2]],"mode":"fast"}`},
+	{"json trailing garbage", "application/json", `[[1,2]] extra`},
+	{"json string element", "application/json", `[["1",2]]`},
+	{"json nested too deep", "application/json", `[[[1]]]`},
+	{"json null", "application/json", `null`},
+	{"json not rows", "application/json", `{"points":"nope"}`},
+	{"json plus sign", "application/json", `[[+1,2]]`},
+	{"json sniffed from csv content type", "text/csv", `{"points":[[1,2]]}`},
+	{"default content type csv", "", "1,2\n3,4\n"},
+	{"empty body json", "application/json", ""},
+}
 
 // TestParseRowsFlatEquivalence is the fast-parse contract: for every
 // input, parseRowsFlat must accept exactly what parsePoints accepts,
@@ -14,93 +58,68 @@ import (
 // outside their conservative subset, so the table deliberately mixes
 // clean inputs (fast path) with every tricky shape that must fall back.
 func TestParseRowsFlatEquivalence(t *testing.T) {
-	cases := []struct {
-		name, contentType, body string
-	}{
-		{"csv simple", "text/csv", "1,2\n3,4\n"},
-		{"csv no trailing newline", "text/csv", "1,2\n3,4"},
-		{"csv negatives and exponents", "text/csv", "-1.5,2e3\n+0.25,-4E-2\n"},
-		{"csv blank lines", "text/csv", "\n1,2\n\n3,4\n\n"},
-		{"csv spaces around fields", "text/csv", " 1 , 2 \n 3 , 4 \n"},
-		{"csv crlf", "text/csv", "1,2\r\n3,4\r\n"},
-		{"csv header", "text/csv", "x,y\n1,2\n3,4\n"},
-		{"csv header then bad row", "text/csv", "x,y\n1,2\nfoo,4\n"},
-		{"csv trailing comma", "text/csv", "1,2,\n3,4,\n"},
-		{"csv ragged", "text/csv", "1,2\n3,4,5\n"},
-		{"csv inf", "text/csv", "Inf,2\n3,4\n"},
-		{"csv nan", "text/csv", "NaN,2\n"},
-		{"csv hex float", "text/csv", "0x1p3,2\n"},
-		{"csv unicode space", "text/csv", " 1,2\n"},
-		{"csv single column", "text/csv", "1\n2\n3\n"},
-		{"csv empty", "text/csv", ""},
-		{"csv only blank lines", "text/csv", "\n\n"},
-		{"csv garbage", "text/csv", "hello world\nnot,numbers\n"},
-		{"json bare array", "application/json", `[[1,2],[3,4]]`},
-		{"json points object", "application/json", `{"points":[[1,2],[3,4]]}`},
-		{"json whitespace", "application/json", " {\n\t\"points\": [ [1, 2] , [3, 4] ] }\n"},
-		{"json exponents", "application/json", `[[1e-3,2.5E2],[-0.125,3]]`},
-		{"json empty outer", "application/json", `[]`},
-		{"json empty points", "application/json", `{"points":[]}`},
-		{"json empty row", "application/json", `[[]]`},
-		{"json ragged", "application/json", `[[1,2],[3]]`},
-		{"json extra key", "application/json", `{"points":[[1,2]],"mode":"fast"}`},
-		{"json trailing garbage", "application/json", `[[1,2]] extra`},
-		{"json string element", "application/json", `[["1",2]]`},
-		{"json nested too deep", "application/json", `[[[1]]]`},
-		{"json null", "application/json", `null`},
-		{"json not rows", "application/json", `{"points":"nope"}`},
-		{"json plus sign", "application/json", `[[+1,2]]`},
-		{"json sniffed from csv content type", "text/csv", `{"points":[[1,2]]}`},
-		{"default content type csv", "", "1,2\n3,4\n"},
-		{"empty body json", "application/json", ""},
+	for _, tc := range parseEquivalenceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkFlatMatchesPoints(t, tc.contentType, []byte(tc.body))
+		})
+	}
+}
+
+// FuzzParseRowsFlat is TestParseRowsFlatEquivalence over arbitrary
+// bodies and content types, seeded from its table.
+func FuzzParseRowsFlat(f *testing.F) {
+	for _, tc := range parseEquivalenceCases {
+		f.Add(tc.contentType, []byte(tc.body))
+	}
+	f.Fuzz(checkFlatMatchesPoints)
+}
+
+// checkFlatMatchesPoints fails unless parseRowsFlat and parsePoints
+// agree on one body: both accept it with bit-identical values, or both
+// reject it with the same error text.
+func checkFlatMatchesPoints(t *testing.T, contentType string, body []byte) {
+	t.Helper()
+	wantRows, wantErr := parsePoints(contentType, body)
+	flat, n, dim, err := parseRowsFlat(contentType, body, nil)
+
+	// parsePoints tolerates ragged rows (the legacy pipeline rejects
+	// them one stage later, at classification), but a flat buffer cannot
+	// represent them: the flat path must reject at parse time instead.
+	// Either way the handler answers 400.
+	ragged := false
+	for _, row := range wantRows {
+		if len(row) != len(wantRows[0]) {
+			ragged = true
+		}
+	}
+	if wantErr == nil && ragged {
+		if err == nil {
+			t.Fatal("ragged rows: flat parse succeeded, want error")
+		}
+		return
 	}
 
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantRows, wantErr := parsePoints(tc.contentType, []byte(tc.body))
-			flat, n, dim, err := parseRowsFlat(tc.contentType, []byte(tc.body), nil)
-
-			// parsePoints tolerates ragged rows (the legacy pipeline
-			// rejects them one stage later, at classification), but a flat
-			// buffer cannot represent them: the flat path must reject at
-			// parse time instead. Either way the handler answers 400.
-			ragged := false
-			for _, row := range wantRows {
-				if len(row) != len(wantRows[0]) {
-					ragged = true
-				}
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("error mismatch: flat err=%v, parsePoints err=%v", err, wantErr)
+	}
+	if err != nil {
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("error text: flat %q, parsePoints %q", err, wantErr)
+		}
+		return
+	}
+	if n != len(wantRows) {
+		t.Fatalf("n = %d, want %d", n, len(wantRows))
+	}
+	if n > 0 && dim != len(wantRows[0]) {
+		t.Fatalf("dim = %d, want %d", dim, len(wantRows[0]))
+	}
+	for i, row := range wantRows {
+		for j, v := range row {
+			if got := flat[i*dim+j]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("row %d col %d: flat %v, want %v", i, j, got, v)
 			}
-			if wantErr == nil && ragged {
-				if err == nil {
-					t.Fatal("ragged rows: flat parse succeeded, want error")
-				}
-				return
-			}
-
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("error mismatch: flat err=%v, parsePoints err=%v", err, wantErr)
-			}
-			if err != nil {
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("error text: flat %q, parsePoints %q", err, wantErr)
-				}
-				return
-			}
-			if n != len(wantRows) {
-				t.Fatalf("n = %d, want %d", n, len(wantRows))
-			}
-			if n > 0 && dim != len(wantRows[0]) {
-				t.Fatalf("dim = %d, want %d", dim, len(wantRows[0]))
-			}
-			for i, row := range wantRows {
-				for j, v := range row {
-					got := flat[i*dim+j]
-					if got != v && !(got != got && v != v) { // NaN == NaN here
-						t.Fatalf("row %d col %d: flat %v, want %v", i, j, got, v)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
